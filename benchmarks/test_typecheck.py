@@ -1,7 +1,7 @@
 """Benchmark: the SMT-backed type checker, cold vs warm vs parallel.
 
-Writes ``BENCH_typecheck.json`` (repo root) alongside ``BENCH_sim.json``:
-per-design wall clocks for
+With ``$REPRO_BENCH_RECORD=1``, writes ``BENCH_typecheck.json`` (repo
+root) alongside ``BENCH_sim.json``: per-design wall clocks for
 
 * ``legacy`` — the pre-PR5 pipeline, reachable in-binary via
   ``$REPRO_SMT_LEGACY=1`` (one-shot discharge, monolithic theory checks,
@@ -44,6 +44,9 @@ from repro.lilac.typecheck import check as check_mod
 BENCH_PATH = (
     pathlib.Path(__file__).resolve().parent.parent / "BENCH_typecheck.json"
 )
+#: The tracked JSON is rewritten only on request, so running the suite
+#: leaves the committed figures alone.
+RECORD = os.environ.get("REPRO_BENCH_RECORD") == "1"
 
 DESIGNS = tuple(
     name.strip()
@@ -182,9 +185,10 @@ def test_typecheck_benchmark(tmp_path):
             "speedup_cold_vs_legacy": headline["speedup_cold_vs_legacy"],
             "speedup_warm_vs_legacy": headline["speedup_warm_vs_legacy"],
         }
-    BENCH_PATH.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    )
+    if RECORD:
+        BENCH_PATH.write_text(
+            json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        )
 
     print("\nTypecheck benchmark (seconds):\n")
     for row in rows:

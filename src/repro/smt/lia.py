@@ -264,14 +264,15 @@ def solve_system(
                   max_splinter_depth)
 
 
-#: Equality-set (by row object ids) -> elimination plan.  Elimination
-#: derives its substitutions from the equalities alone; the DPLL(T) hook
-#: re-solves systems over the same (memoized, shared) equality rows with
-#: varying inequality sides thousands of times, so the plan is computed
-#: once per distinct set.  The value holds strong references to the rows,
-#: which pins their ids and makes the id-based key collision-free.
-_ELIM_PLAN_MEMO: Dict[tuple, tuple] = {}
-_INFEASIBLE = object()
+#: Equality-set (by row object ids) -> :class:`_EliminationPlan`.
+#: Elimination derives its substitutions from the equalities alone; the
+#: DPLL(T) hook re-solves systems over the same (memoized, shared)
+#: equality rows with varying inequality sides thousands of times, and
+#: conflict certificates re-derive over the same rows again, so the plan
+#: is computed once per distinct set and serves both.  The plan holds
+#: strong references to the rows, which pins their ids and makes the
+#: id-based key collision-free.
+_ELIM_PLAN_MEMO: Dict[tuple, "_EliminationPlan"] = {}
 
 
 def _apply_map(expr: LinExpr, mapping: Dict[Term, LinExpr]) -> LinExpr:
@@ -300,31 +301,57 @@ def _apply_map(expr: LinExpr, mapping: Dict[Term, LinExpr]) -> LinExpr:
     return LinExpr._raw(coeffs, const)
 
 
-def _elimination_plan(eqs: List[LinExpr]):
-    """``(substitutions, composed_map)`` eliminating ``eqs``, or
-    ``_INFEASIBLE`` when the equalities alone have no integer solution.
+class _EliminationPlan:
+    """Equality elimination for one set of equality rows.
 
-    ``substitutions`` is the sequential record (model rebuild applies it
-    in reverse); ``composed_map`` is the same sequence composed into one
-    simultaneous substitution, so each inequality is rewritten in a
-    single pass instead of once per eliminated equality.
+    ``rows`` are the rows in the order the plan eliminated them;
+    provenance refers to them by position.  When the equalities alone
+    have no integer solution, ``conflict`` holds the positions of rows
+    that derive the contradiction.  Otherwise ``substitutions`` is the
+    sequential record (model rebuild applies it in reverse),
+    ``composed`` is the same sequence composed into one simultaneous
+    substitution, so each inequality is rewritten in a single pass, and
+    ``provenance`` maps every eliminated variable to the positions of the
+    rows a rewrite through it uses: rewriting an inequality that
+    mentions ``v`` uses no row outside ``provenance[v]`` (the set can
+    name rows whose contribution cancelled, which keeps certificates
+    valid, merely larger).
     """
-    key = tuple(sorted(map(id, eqs)))
-    hit = _ELIM_PLAN_MEMO.get(key)
-    if hit is not None:
-        return hit[1]
-    substitutions: List[Tuple[Term, LinExpr]] = []
-    result = _eliminate_equalities(list(eqs), [], substitutions)
-    if result is None:
-        plan = _INFEASIBLE
-    else:
-        composed: Dict[Term, LinExpr] = {}
-        for var, replacement in reversed(substitutions):
+
+    __slots__ = ("rows", "conflict", "substitutions", "composed", "provenance")
+
+    def __init__(self, rows: Tuple[LinExpr, ...]):
+        self.rows = rows
+        self.substitutions: Tuple[Tuple[Term, LinExpr], ...] = ()
+        self.composed: Dict[Term, LinExpr] = {}
+        self.provenance: Dict[Term, frozenset] = {}
+        steps, self.conflict = _eliminate_equalities(rows)
+        if steps is None:
+            return
+        self.substitutions = tuple((var, expr) for var, expr, _ in steps)
+        composed = self.composed
+        provenance = self.provenance
+        # Backwards, so both maps hold the composition of every later
+        # step when a step is folded in (a Euclidean step's replacement
+        # mentions its own, later-eliminated, variable).
+        for var, replacement, positions in reversed(steps):
+            for other in replacement.coeffs:
+                inherited = provenance.get(other)
+                if inherited:
+                    positions = positions | inherited
             composed[var] = _apply_map(replacement, composed)
-        plan = (tuple(substitutions), composed)
-    if len(_ELIM_PLAN_MEMO) >= 100_000:
-        _ELIM_PLAN_MEMO.clear()
-    _ELIM_PLAN_MEMO[key] = (list(eqs), plan)
+            provenance[var] = positions
+
+
+def _elimination_plan(eqs) -> _EliminationPlan:
+    """The memoized :class:`_EliminationPlan` for the rows ``eqs``."""
+    key = tuple(sorted(map(id, eqs)))
+    plan = _ELIM_PLAN_MEMO.get(key)
+    if plan is None:
+        plan = _EliminationPlan(tuple(eqs))
+        if len(_ELIM_PLAN_MEMO) >= 100_000:
+            _ELIM_PLAN_MEMO.clear()
+        _ELIM_PLAN_MEMO[key] = plan
     return plan
 
 
@@ -335,19 +362,19 @@ def _solve(
     depth: int,
 ) -> Optional[Model]:
     if _legacy():
-        substitutions: List[Tuple[Term, LinExpr]] = []
-        result = _eliminate_equalities(eqs, ineqs, substitutions)
-        if result is None:
+        steps, _ = _eliminate_equalities(eqs)
+        if steps is None:
             return None
-        ineqs = result
+        substitutions = [(var, expr) for var, expr, _ in steps]
+        for var, expr in substitutions:
+            ineqs = [i.substitute(var, expr) for i in ineqs]
     else:
         plan = _elimination_plan(eqs)
-        if plan is _INFEASIBLE:
+        if plan.conflict is not None:
             return None
-        sequential, composed = plan
-        substitutions = list(sequential)
-        if composed:
-            ineqs = [_apply_map(i, composed) for i in ineqs]
+        substitutions = plan.substitutions
+        if plan.composed:
+            ineqs = [_apply_map(i, plan.composed) for i in ineqs]
     model = _solve_inequalities(ineqs, fresh, depth)
     if model is None:
         return None
@@ -364,29 +391,31 @@ def _eval_default(expr: LinExpr, model: Model) -> int:
     return expr.evaluate(model)
 
 
-def _eliminate_equalities(
-    eqs: List[LinExpr],
-    ineqs: List[LinExpr],
-    substitutions: List[Tuple[Term, LinExpr]],
-) -> Optional[List[LinExpr]]:
+def _eliminate_equalities(eqs) -> Tuple[Optional[list], Optional[frozenset]]:
     """Remove all equalities, recording variable definitions.
 
     Uses gcd feasibility checks plus Euclidean unimodular rewrites so that a
-    unit-coefficient variable always eventually appears.
+    unit-coefficient variable always eventually appears.  Returns
+    ``(steps, None)`` with ``steps`` the sequence of ``(var, replacement,
+    positions)`` substitutions, or ``(None, positions)`` when the
+    equalities have no integer solution.  ``positions`` index ``eqs``: a
+    row carries its own position plus those of every unit-pivot equation
+    substituted into it.  Euclidean rewrites are changes of variables
+    (applied to every remaining row) and depend on no row.
     """
-    eqs = list(eqs)
-    ineqs = list(ineqs)
-    while eqs:
-        eq = eqs.pop()
+    work = [(eq, frozenset((index,))) for index, eq in enumerate(eqs)]
+    steps: List[Tuple[Term, LinExpr, frozenset]] = []
+    while work:
+        eq, positions = work.pop()
         if eq.is_const():
             if eq.const != 0:
-                return None
+                return None, positions
             continue
         g = 0
         for coeff in eq.coeffs.values():
             g = gcd(g, abs(coeff))
         if eq.const % g != 0:
-            return None
+            return None, positions
         if g > 1:
             eq = LinExpr(
                 {var: coeff // g for var, coeff in eq.coeffs.items()},
@@ -397,9 +426,12 @@ def _eliminate_equalities(
         if abs(coeff) == 1:
             # var = -sign(coeff) * (eq - coeff*var)
             rest = eq.without(var).scale(-1 if coeff > 0 else 1)
-            substitutions.append((var, rest))
-            eqs = [e.substitute(var, rest) for e in eqs]
-            ineqs = [i.substitute(var, rest) for i in ineqs]
+            steps.append((var, rest, positions))
+            work = [
+                (e.substitute(var, rest), p | positions)
+                if var in e.coeffs else (e, p)
+                for e, p in work
+            ]
             continue
         # Euclidean reduction: substitute var := var' - sum(q_i * x_i) where
         # q_i = round-to-floor quotient of other coefficients by |coeff|.
@@ -424,11 +456,11 @@ def _eliminate_equalities(
             # floor quotient; with a single variable the gcd division above
             # already forced |coeff| == 1.
             raise AssertionError("equality elimination made no progress")
-        substitutions.append((var, replacement))
-        eq2 = eq.substitute(var, replacement)
-        eqs.append(eq2)
-        ineqs = [i.substitute(var, replacement) for i in ineqs]
-    return ineqs
+        steps.append((var, replacement, frozenset()))
+        # ``var`` now names var' in every row, not just this one.
+        work = [(e.substitute(var, replacement), p) for e, p in work]
+        work.append((eq.substitute(var, replacement), positions))
+    return steps, None
 
 
 def _solve_inequalities(
@@ -566,72 +598,43 @@ def core_of_system(
     Rows are ``(expr, tags)`` meaning ``expr == 0`` / ``expr <= 0``;
     every derived constraint carries the union of its parents' tags, so
     a constant violation's tag set is a genuine Farkas-style certificate.
-    Returns None when the system is satisfiable *or* no certificate
-    could be established.
+    Equalities are eliminated through the memoized
+    :class:`_EliminationPlan` shared with :func:`solve_system`: each
+    inequality is rewritten in one composed substitution and picks up
+    the tags of the equality rows recorded as the provenance of the
+    eliminated variables it mentions (after a cancellation that set may
+    be larger than needed — still a certificate).  Returns None when the
+    system is satisfiable *or* no certificate could be established.
     """
-    eqs = [(expr.copy(), tags) for expr, tags in eqs]
-    ineqs = [(expr.copy(), tags) for expr, tags in ineqs]
-    out = _core_eliminate_equalities(eqs, ineqs)
-    if isinstance(out, frozenset):
-        return out
-    return _core_inequalities(out, depth)
+    plan = _elimination_plan([expr for expr, _ in eqs])
+    # The plan may come from a call that listed the same rows in another
+    # order; map its positions back to this call's tags through the rows.
+    # (A row object listed twice is one constraint: either tag set names it.)
+    tags_by_row = {id(expr): tags for expr, tags in eqs}
+    rows = plan.rows
 
+    def tags_of(positions) -> frozenset:
+        return frozenset().union(
+            *(tags_by_row[id(rows[position])] for position in positions)
+        )
 
-def _core_eliminate_equalities(eqs, ineqs):
-    """Tagged equality elimination; returns a core or the rewritten
-    inequality rows."""
-    eqs = list(eqs)
-    ineqs = list(ineqs)
-    while eqs:
-        eq, tags = eqs.pop()
-        if eq.is_const():
-            if eq.const != 0:
-                return tags
-            continue
-        g = 0
-        for coeff in eq.coeffs.values():
-            g = gcd(g, abs(coeff))
-        if eq.const % g != 0:
-            return tags
-        if g > 1:
-            eq = LinExpr(
-                {var: coeff // g for var, coeff in eq.coeffs.items()},
-                eq.const // g,
-            )
-        var = _pick_equality_var(eq)
-        coeff = eq.coeffs[var]
-        if abs(coeff) == 1:
-            rest = eq.without(var).scale(-1 if coeff > 0 else 1)
-            eqs = [
-                (e.substitute(var, rest), t | tags if var in e.coeffs else t)
-                for e, t in eqs
-            ]
-            ineqs = [
-                (i.substitute(var, rest), t | tags if var in i.coeffs else t)
-                for i, t in ineqs
-            ]
-            continue
-        replacement = LinExpr.of_var(var)
-        changed = False
-        for other, other_coeff in list(eq.coeffs.items()):
-            if other is var:
-                continue
-            quotient = other_coeff // coeff
-            if quotient:
-                replacement = replacement.add(LinExpr.of_var(other, -quotient))
-                changed = True
-        const_quotient = eq.const // coeff
-        if const_quotient:
-            replacement = replacement.add(LinExpr.constant(-const_quotient))
-            changed = True
-        if not changed:
-            raise AssertionError("equality elimination made no progress")
-        # The unimodular rewrite redefines ``var`` in terms of itself and
-        # the other variables; the equation stays in play, so its tags
-        # ride along with the rewritten equation rather than the rows.
-        eqs.append((eq.substitute(var, replacement), tags))
-        ineqs = [(i.substitute(var, replacement), t) for i, t in ineqs]
-    return ineqs
+    if plan.conflict is not None:
+        return tags_of(plan.conflict)
+    composed = plan.composed
+    provenance = plan.provenance
+    var_tags: Dict[Term, frozenset] = {}
+    rewritten = []
+    for expr, tags in ineqs:
+        touched = [var for var in expr.coeffs if var in provenance]
+        if touched:
+            for var in touched:
+                extra = var_tags.get(var)
+                if extra is None:
+                    extra = var_tags[var] = tags_of(provenance[var])
+                tags = tags | extra
+            expr = _apply_map(expr, composed)
+        rewritten.append((expr, tags))
+    return _core_inequalities(rewritten, depth)
 
 
 def _core_inequalities(rows, depth: int) -> Optional[frozenset]:

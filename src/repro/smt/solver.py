@@ -65,7 +65,7 @@ UNSAT = "unsat"
 #: cache key — bump it whenever a change could make a cached verdict or
 #: model differ from what the current code would compute, and stale
 #: entries become unreachable instead of wrong.
-SOLVER_VERSION = 1
+SOLVER_VERSION = 2
 
 #: Default work budget; override with ``$REPRO_SMT_BUDGET``.  The budget
 #: bounds the DPLL(T) conflict count per query (exhaustion raises
@@ -881,6 +881,32 @@ def _solve_with_diseqs(
     return model
 
 
+def _model_satisfies(model: Dict[Term, int], literals) -> bool:
+    """Whether ``model`` satisfies every ``(atom, value)`` literal.
+
+    Variables the model lacks read as 0; on success they are written
+    into it, so the model stays total over the literals' variables.
+    """
+    for atom, value in literals:
+        diff = _atom_diff(atom)
+        total = diff.const
+        for var, coeff in diff.coeffs.items():
+            total += coeff * model.get(var, 0)
+        op = atom.op
+        if op == OP_EQ:
+            holds = total == 0
+        elif op == OP_LE:
+            holds = total <= 0
+        else:
+            holds = total < 0
+        if holds != value:
+            return False
+    for atom, _ in literals:
+        for var in _atom_diff(atom).coeffs:
+            model.setdefault(var, 0)
+    return True
+
+
 class _TheoryHook:
     """The DPLL(T) callback: theory checks, conflict learning, budgets.
 
@@ -891,6 +917,15 @@ class _TheoryHook:
     systems nor influence this query's verdict.  Conflict clauses are
     therefore always over relevant atoms, which is what makes them
     valid theory lemmas that can be retained across queries.
+
+    The hook keeps the last consistent theory model.  DPLL mostly
+    extends or flips a few literals of the previous assignment, so that
+    model usually still satisfies every assigned literal (variables it
+    lacks read as 0): the hook then keeps it, counts
+    ``theory.model_reuse`` and skips the component-wise re-solve.  A
+    consistent assignment is consistent whichever model witnesses it,
+    so reuse never changes which conflicts are found or which lemmas
+    are learned; only the counterexample values can differ.
     """
 
     def __init__(self, theory_atoms, conflict_budget, relevant_vars=None):
@@ -924,6 +959,10 @@ class _TheoryHook:
             self._spend_conflict()
             core = _minimize_core_legacy(literals)
             return tuple((-var if value else var) for var, _, value in core)
+        last_model = self.state["model"]
+        if last_model is not None and _model_satisfies(last_model, pairs):
+            _bump("theory.model_reuse")
+            return None
         failing: List[Tuple[Term, bool]] = []
         model = _theory_check(pairs, failing)
         if model is not None:

@@ -1,9 +1,17 @@
 """Tests for the Omega-style integer linear arithmetic procedure."""
 
-from hypothesis import given, settings, strategies as st
+from itertools import product
 
-from repro.smt import Int
-from repro.smt.lia import LinExpr, linexpr_of_term, solve_system
+from hypothesis import example, given, settings, strategies as st
+
+from repro.smt import And, Eq, Int, check_sat, clear_solver_caches
+from repro.smt import lia
+from repro.smt.lia import (
+    LinExpr,
+    core_of_system,
+    linexpr_of_term,
+    solve_system,
+)
 from repro.smt.terms import Plus, Times, IntVal
 
 x, y, z = Int("x"), Int("y"), Int("z")
@@ -196,3 +204,118 @@ def test_random_equalities_agree_with_bruteforce(a, b, c):
         check_model(eqs, ineqs, model)
     else:
         assert model is None
+
+
+# -- equality elimination with non-unit pivots -----------------------------
+
+
+def test_euclidean_rewrite_reaches_remaining_equalities():
+    # x == y and 2x + 3y == 5: the pivot x has coefficient 2, and the
+    # Euclidean change of variables must rewrite x == y as well.
+    assert check_sat(And(Eq(x, y), Eq(2 * x + 3 * y, 5))).is_sat
+    eqs = [lin({x: 1, y: -1}), lin({x: 2, y: 3}, -5)]
+    model = solve_system(eqs, [])
+    assert model == {x: 1, y: 1}
+
+
+def test_euclidean_rewrite_keeps_earlier_equalities_satisfied():
+    eqs = [lin({x: 1, z: -1}, -2), lin({x: 3, y: 5}, -1)]
+    model = solve_system(eqs, [])
+    assert model is not None
+    check_model(eqs, [], model)
+
+
+def test_clear_solver_caches_empties_certificate_plan_memo():
+    eqs = [(lin({x: 1, y: -1}), frozenset({0}))]
+    ineqs = [
+        (lin({x: 1}, -1), frozenset({1})),
+        (lin({y: -1}, 2), frozenset({2})),
+    ]
+    clear_solver_caches()
+    assert core_of_system(eqs, ineqs) == frozenset({0, 1, 2})
+    assert lia._ELIM_PLAN_MEMO
+    clear_solver_caches()
+    assert not lia._ELIM_PLAN_MEMO
+
+
+# -- brute-force properties over a small box -------------------------------
+
+BOX = range(-8, 9)
+VARS = (x, y, z)
+
+
+#: Coefficients in -4..4, biased towards 0 and +-1 so that sparse rows,
+#: unit pivots and chains of substitutions come up often.
+_COEFFS = st.one_of(st.integers(-1, 1), st.integers(-4, 4))
+
+
+def _row(draw, variables):
+    coeffs = {var: draw(_COEFFS) for var in variables}
+    return lin(coeffs, draw(st.integers(-6, 6)))
+
+
+@st.composite
+def systems(draw):
+    variables = VARS[: draw(st.integers(2, 3))]
+    eqs = [_row(draw, variables) for _ in range(draw(st.integers(1, 3)))]
+    ineqs = [_row(draw, variables) for _ in range(draw(st.integers(0, 2)))]
+    return variables, eqs, ineqs
+
+
+def _has_box_solution(variables, eqs, ineqs):
+    for point in product(BOX, repeat=len(variables)):
+        model = dict(zip(variables, point))
+        if all(eq.evaluate(model) == 0 for eq in eqs) and all(
+            ineq.evaluate(model) <= 0 for ineq in ineqs
+        ):
+            return True
+    return False
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems())
+@example(((x, y), [lin({x: 1, y: -1}), lin({x: 2, y: 3}, -5)], []))
+@example(
+    ((x, y, z), [lin({x: 1, z: -1}, -2), lin({x: 3, y: 5}, -1)], [])
+)
+def test_random_systems_agree_with_bruteforce(system):
+    variables, eqs, ineqs = system
+    model = solve_system(eqs, ineqs)
+    if model is None:
+        assert not _has_box_solution(variables, eqs, ineqs)
+        return
+    for var in variables:
+        model.setdefault(var, 0)
+    check_model(eqs, ineqs, model)
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems())
+def test_random_certificates_name_infeasible_rows(system):
+    """Every tag set ``core_of_system`` returns names rows with no
+    solution — on a cold plan and on a memo hit whose rows arrive in
+    another order with other tags."""
+    variables, eqs, ineqs = system
+    n = len(eqs) + len(ineqs)
+    for offset, order in ((0, 1), (n, -1)):
+        eq_rows = [
+            (eq, frozenset({offset + i})) for i, eq in enumerate(eqs)
+        ][::order]
+        ineq_rows = [
+            (ineq, frozenset({offset + len(eqs) + j}))
+            for j, ineq in enumerate(ineqs)
+        ]
+        core = core_of_system(eq_rows, ineq_rows)
+        if core is None:
+            continue
+        assert solve_system(eqs, ineqs) is None
+        named = {tag - offset for tag in core}
+        assert not _has_box_solution(
+            variables,
+            [eq for i, eq in enumerate(eqs) if i in named],
+            [
+                ineq
+                for j, ineq in enumerate(ineqs)
+                if len(eqs) + j in named
+            ],
+        )

@@ -17,10 +17,13 @@ from repro.smt import (
     Mod,
     Ne,
     Not,
+    IncrementalSolver,
     Or,
     Solver,
     check_sat,
     prove,
+    stats_snapshot,
+    substitute,
 )
 
 x, y, z = Int("x"), Int("y"), Int("z")
@@ -246,3 +249,61 @@ def test_membership_encoding(values):
     result = check_sat(disjuncts)
     assert result.is_sat
     assert result.model["x"] in values
+
+
+# -- the DPLL(T) hook: reused models must still be models ------------------
+
+_atom_ops = st.sampled_from([Eq, Ne, Le, Lt, Ge, Gt])
+
+
+@st.composite
+def _atoms(draw):
+    lhs = (
+        draw(st.integers(-3, 3)) * x
+        + draw(st.integers(-3, 3)) * y
+        + draw(st.integers(-3, 3)) * z
+    )
+    return draw(_atom_ops)(lhs, draw(st.integers(-6, 6)))
+
+
+_clauses = st.lists(_atoms(), min_size=1, max_size=2).map(lambda a: Or(*a))
+_formulas = st.lists(_clauses, min_size=2, max_size=6).map(lambda c: And(*c))
+
+
+def _holds(formulas, model):
+    values = {var: IntVal(model.get(var.name, 0)) for var in (x, y, z)}
+    return all(
+        substitute(formula, values).value for formula in formulas
+    )
+
+
+def test_hook_models_satisfy_assertions():
+    reuses = []
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(st.lists(_formulas, min_size=1, max_size=3))
+    def run(formulas):
+        before = stats_snapshot().get("theory.model_reuse", 0)
+        one = Solver().add(*formulas).check()
+        inc = IncrementalSolver().check(*formulas)
+        reuses.append(stats_snapshot().get("theory.model_reuse", 0) - before)
+        assert one.status == inc.status
+        for result in (one, inc):
+            if result.is_sat:
+                assert _holds(formulas, result.model)
+
+    run()
+    assert sum(reuses) > 0
+
+
+def test_model_reuse_fires_and_keeps_the_model():
+    before = stats_snapshot().get("theory.model_reuse", 0)
+    formulas = [
+        Or(Le(x, 5), Le(y, 5)),
+        Or(Ge(x, 0), Ge(y, 0)),
+        Or(Eq(z, x + y), Lt(z, -3)),
+    ]
+    result = check_sat(*formulas)
+    assert result.is_sat
+    assert _holds(formulas, result.model)
+    assert stats_snapshot().get("theory.model_reuse", 0) > before
