@@ -67,6 +67,13 @@ def elaborate_fpu_ls(
     ).value
 
 
+def build_li_fpu(
+    frequency_mhz: int, width: int = 32, session: Optional[CompileSession] = None
+) -> Module:
+    """The LI FPU's top module (the Table 1 baseline builder)."""
+    return LiFpu(frequency_mhz, width, session=session).module
+
+
 class LiFpu:
     """Latency-insensitive FPU (Figure 1b).
 

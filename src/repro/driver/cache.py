@@ -23,7 +23,9 @@ entries are deleted and treated as misses, never served.
 from __future__ import annotations
 
 import errno
+import functools
 import hashlib
+import importlib
 import json
 import os
 import pickle
@@ -97,6 +99,33 @@ _DEGRADE_ERRNOS = frozenset(
 def source_digest(source: str) -> str:
     """Stable content address of a Lilac source text."""
     return hashlib.sha256(source.encode("utf-8")).hexdigest()[:16]
+
+
+@functools.lru_cache(maxsize=None)
+def code_fingerprint(package: str) -> str:
+    """Content address of a package's Python source, memoized per process.
+
+    SHA-256 over the sorted package-relative paths and bytes of every
+    ``.py`` file under ``package``.  A cache key carrying it cannot serve
+    an artifact that older code produced, so the stages keyed on it need
+    no hand-bumped ``*_VERSION`` constant.  Paths are relative, so two
+    checkouts of the same code agree.
+    """
+    root = os.path.dirname(importlib.import_module(package).__file__)
+    paths = []
+    for directory, _subdirs, files in os.walk(root):
+        for filename in files:
+            if filename.endswith(".py"):
+                path = os.path.join(directory, filename)
+                relative = os.path.relpath(path, root).replace(os.sep, "/")
+                paths.append((relative, path))
+    digest = hashlib.sha256()
+    for relative, path in sorted(paths):
+        with open(path, "rb") as handle:
+            data = handle.read()
+        digest.update(f"{relative}\0{len(data)}\0".encode("utf-8"))
+        digest.update(data)
+    return digest.hexdigest()[:16]
 
 
 def _freeze_value(value) -> object:

@@ -89,6 +89,7 @@ from .cache import (
     ObligationStore,
     ProfileStore,
     TunerStore,
+    code_fingerprint,
     freeze_params,
     source_digest,
 )
@@ -801,7 +802,11 @@ class CompileSession:
         stdlib: bool = True,
         opt_level: Optional[int] = None,
     ) -> StageArtifact:
-        """optimized design → SynthReport from the area/timing model."""
+        """optimized design → SynthReport from the area/timing model.
+
+        The key carries the synthesis model's code fingerprint, so an
+        edit to the area or timing model never serves an old report.
+        """
         registry = self._registry_of(generators)
         level, pipeline = self._pipeline(opt_level)
         key = (
@@ -812,6 +817,7 @@ class CompileSession:
             registry.fingerprint(),
             self.verify,
             pipeline.fingerprint(),
+            code_fingerprint("repro.synth"),
         )
 
         def compute() -> StageArtifact:
@@ -824,6 +830,34 @@ class CompileSession:
                     source, component, params, registry, stdlib,
                     opt_level=level,
                 ).value.module
+            start = time.perf_counter()
+            report = synthesize(module)
+            return StageArtifact(
+                "synthesize", key, report, time.perf_counter() - start
+            )
+
+        return self.cache.get_or_compute(key, compute)
+
+    def synthesize_baseline(self, build, *args) -> StageArtifact:
+        """A hand-built baseline netlist → SynthReport, cached like a stage.
+
+        ``build(*args, session=self)`` returns the module; the paper's
+        ready-valid (LI) baselines are built this way from elaborated
+        cores.  ``build`` is named in the key by its import path, and the
+        whole package's code fingerprint stands in for what it does, so
+        any code edit invalidates the cached reports.
+        """
+        key = (
+            "synthesize",
+            "baseline",
+            f"{build.__module__}.{build.__qualname__}",
+            freeze_params(args),
+            self.verify,
+            code_fingerprint("repro"),
+        )
+
+        def compute() -> StageArtifact:
+            module = build(*args, session=self)
             start = time.perf_counter()
             report = synthesize(module)
             return StageArtifact(

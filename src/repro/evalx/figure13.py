@@ -23,7 +23,7 @@ from typing import Dict, List, NamedTuple, Optional
 from ..designs.gbp_la import GBP_SOURCE, gbp_registry
 from ..designs.gbp_li import build_li_gbp
 from ..driver import CompileSession, EvalGrid
-from ..synth import SynthReport, format_table, geomean, synthesize
+from ..synth import SynthReport, format_table, geomean
 
 PARALLELISMS = (1, 2, 4, 8, 16)
 
@@ -40,7 +40,7 @@ def _build_point(
     lilac = session.synthesize(
         GBP_SOURCE, "GBP", {"#W": width}, gbp_registry(parallelism)
     ).value
-    rv = synthesize(build_li_gbp(parallelism, width, session=session))
+    rv = session.synthesize_baseline(build_li_gbp, parallelism, width).value
     return Figure13Row(parallelism, lilac, rv)
 
 

@@ -19,10 +19,10 @@ from __future__ import annotations
 import functools
 from typing import Dict, List, Optional, Tuple
 
-from ..designs.fpu import FPU_LA_SOURCE, LiFpu, fpu_generators
+from ..designs.fpu import FPU_LA_SOURCE, build_li_fpu, fpu_generators
 from ..driver import CompileSession, EvalGrid
 from ..generators.flopoco import adder_depth, multiplier_depth
-from ..synth import SynthReport, format_table, synthesize
+from ..synth import SynthReport, format_table
 
 DESIGN_POINTS = (100, 400)  # FloPoCo frequency goals
 
@@ -47,14 +47,11 @@ def _build_point(
     a = adder_depth(width, frequency)
     m = multiplier_depth(width, frequency)
     label = f"(A={a}, M={m})"
-    li = LiFpu(frequency, width, session=session)
+    li = session.synthesize_baseline(build_li_fpu, frequency, width).value
     ls = session.synthesize(
         FPU_LA_SOURCE, "FPU", {"#W": width}, fpu_generators(frequency)
     ).value
-    return [
-        Table1Row(f"LI {label}", synthesize(li.module)),
-        Table1Row(f"LS {label}", ls),
-    ]
+    return [Table1Row(f"LI {label}", li), Table1Row(f"LS {label}", ls)]
 
 
 def build_rows(

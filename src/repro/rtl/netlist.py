@@ -326,25 +326,41 @@ class Module:
 
     # Surgery (used by optimization passes) ----------------------------------
 
-    def replace_net_uses(self, old: Net, new: Net) -> int:
+    def replace_net_uses(
+        self,
+        old: Net,
+        new: Net,
+        readers: Optional[Dict[Net, List[Tuple[Cell, str]]]] = None,
+    ) -> int:
         """Rewire every cell *input* pin reading ``old`` to read ``new``.
 
         Drivers (output pins) are left alone, so this is the primitive
         for forwarding a value past a redundant cell.  Returns the number
         of pins rewired.
+
+        ``readers`` is the index :meth:`readers` builds; it is built here
+        when not passed.  A pass that rewires many nets builds it once
+        per sweep and passes it to every call, which keeps it current:
+        the rewired pins move from ``old``'s list to ``new``'s.  Entries
+        of cells removed since the index was built are skipped, so only
+        input-pin edits made outside this method invalidate it.
         """
         if old.width != new.width:
             raise NetlistError(
                 f"{self.name}: cannot rewire {old.name}[{old.width}] "
                 f"to {new.name}[{new.width}]"
             )
+        if readers is None:
+            readers = self.readers()
+        moved = readers.pop(old, ())
+        targets = readers.setdefault(new, [])
         rewired = 0
-        for cell in self.cells.values():
-            outs = set(cell.output_pins())
-            for pin, net in cell.pins.items():
-                if net is old and pin not in outs:
-                    cell.pins[pin] = new
-                    rewired += 1
+        for cell, pin in moved:
+            if self.cells.get(cell.name) is not cell:
+                continue
+            cell.pins[pin] = new
+            targets.append((cell, pin))
+            rewired += 1
         return rewired
 
     def remove_cell(self, name: str) -> Cell:
@@ -365,6 +381,14 @@ class Module:
         return len(dead)
 
     # Analysis ---------------------------------------------------------------
+
+    def readers(self) -> Dict[Net, List[Tuple[Cell, str]]]:
+        """Map each net to the (cell, input pin) pairs that read it."""
+        read: Dict[Net, List[Tuple[Cell, str]]] = {}
+        for cell in self.cells.values():
+            for pin in cell.input_pins():
+                read.setdefault(cell.pins[pin], []).append((cell, pin))
+        return read
 
     def drivers(self) -> Dict[Net, Tuple[Cell, str]]:
         """Map each net to its driving (cell, pin)."""

@@ -48,6 +48,7 @@ class DelayCoalesce(Pass):
     @staticmethod
     def _forward_aliases(module: Module) -> int:
         port_nets = set(module.ports.values())
+        readers = module.readers()
         forwarded = 0
         for cell in list(module.cells.values()):
             if not _is_alias(cell):
@@ -56,7 +57,7 @@ class DelayCoalesce(Pass):
             if out in port_nets or src is out:
                 continue
             module.remove_cell(cell.name)
-            module.replace_net_uses(out, src)
+            module.replace_net_uses(out, src, readers)
             forwarded += 1
         return forwarded
 
@@ -65,6 +66,7 @@ class DelayCoalesce(Pass):
         output_nets = {net for _, net in module.outputs()}
         port_nets = set(module.ports.values())
         drivers = module.drivers()
+        readers = module.readers()
         sunk = 0
         for cell in list(module.cells.values()):
             if not _is_alias(cell):
@@ -80,6 +82,6 @@ class DelayCoalesce(Pass):
             drivers[out] = entry
             del drivers[src]
             module.remove_cell(cell.name)
-            module.replace_net_uses(src, out)
+            module.replace_net_uses(src, out, readers)
             sunk += 1
         return sunk

@@ -40,6 +40,7 @@ def share_cells(module: Module, kinds: Set[str]) -> int:
     while True:
         merged = 0
         seen: Dict[Tuple, object] = {}
+        readers = module.readers()
         for cell in list(module.cells.values()):
             if cell.kind not in kinds:
                 continue
@@ -67,7 +68,7 @@ def share_cells(module: Module, kinds: Set[str]) -> int:
                 seen[signature] = cell
                 rep, cell = cell, rep
                 rep_out, cell_out = cell_out, rep_out
-            module.replace_net_uses(cell_out, rep_out)
+            module.replace_net_uses(cell_out, rep_out, readers)
             module.remove_cell(cell.name)
             merged += 1
         merged_total += merged

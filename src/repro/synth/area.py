@@ -70,9 +70,17 @@ class AreaReport:
         return f"AreaReport(luts={self.luts}, registers={self.registers})"
 
 
+def flat_view(module: Module) -> Module:
+    """``module`` itself when it has no submodule cells, else a flattened
+    copy.  For read-only analyses: the result may alias the argument."""
+    if any(cell.kind == "submodule" for cell in module.cells.values()):
+        return flatten(module)
+    return module
+
+
 def area(module: Module) -> AreaReport:
     """Total LUT/register usage of a (hierarchical) module."""
-    flat = flatten(module)
+    flat = flat_view(module)
     luts = 0
     registers = 0
     by_kind: Dict[str, int] = {}

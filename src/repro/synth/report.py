@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ..rtl import Module
-from .area import AreaReport, area
+from .area import AreaReport, area, flat_view
 from .timing import TimingReport, timing
 
 
@@ -32,8 +32,9 @@ class SynthReport:
 
 
 def synthesize(module: Module, name: str = "") -> SynthReport:
-    """Run the area and timing models over a module."""
-    return SynthReport(name or module.name, area(module), timing(module))
+    """Run the area and timing models over a module (flattened once)."""
+    flat = flat_view(module)
+    return SynthReport(name or module.name, area(flat), timing(flat))
 
 
 def geomean(values: Sequence[float]) -> float:

@@ -15,7 +15,8 @@ from __future__ import annotations
 from math import ceil, log2
 from typing import Dict, List, Optional, Tuple
 
-from ..rtl import Cell, Module, Net, flatten
+from ..rtl import Cell, Module, Net
+from .area import flat_view
 
 # Base delays in nanoseconds.
 _ROUTING_BASE = 0.25
@@ -70,7 +71,7 @@ class TimingReport:
 
 def timing(module: Module) -> TimingReport:
     """Longest combinational path (register/input -> register/output)."""
-    flat = flatten(module)
+    flat = flat_view(module)
     fanout: Dict[Net, int] = {}
     producers: Dict[Net, Cell] = {}
     for cell in flat.cells.values():

@@ -1,8 +1,11 @@
 """Tests for the synthesis area/timing models."""
 
+from repro.designs.fpu import build_li_fpu
+from repro.designs.gbp_li import build_li_gbp
+from repro.driver import CompileSession
 from repro.generators import GeneratorRegistry
 from repro.generators.flopoco import FloPoCoGenerator
-from repro.rtl import Module
+from repro.rtl import Module, flatten
 from repro.synth import (
     area,
     format_table,
@@ -12,6 +15,7 @@ from repro.synth import (
     synthesize,
     timing,
 )
+from repro.synth.area import flat_view
 
 
 def adder_module(width):
@@ -105,6 +109,29 @@ def test_synthesize_report():
     assert report.luts == 16
     assert report.fmax_mhz > 0
     assert "adder16" in repr(report)
+
+
+def _fields(report):
+    return (
+        report.name, report.luts, report.registers, report.fmax_mhz,
+        report.critical_path_ns, report.timing.path, report.area.by_kind,
+    )
+
+
+def test_hierarchical_report_equals_flattened_copy():
+    """``synthesize`` flattens once and hands the flat view to both
+    models; the report must not depend on whether the caller did."""
+    session = CompileSession()
+    for module in (
+        build_li_fpu(400, 32, session=session),
+        build_li_gbp(2, 16, session=session),
+    ):
+        assert any(c.kind == "submodule" for c in module.cells.values())
+        flat = flatten(module)
+        assert flat_view(flat) is flat
+        assert _fields(synthesize(module)) == _fields(synthesize(flat))
+        assert area(module).by_kind == area(flat).by_kind
+        assert timing(module).path == timing(flat).path
 
 
 def test_geomean():
