@@ -20,6 +20,7 @@ of design points fan out over :class:`EvalGrid`.
 from .artifact import (
     CompileResult,
     Diagnostic,
+    OptimizeSummary,
     OptimizedNetlist,
     STAGES,
     SimTrace,
@@ -100,6 +101,7 @@ __all__ = [
     "IntentJournal",
     "LeaseManager",
     "ObligationStore",
+    "OptimizeSummary",
     "OptimizedNetlist",
     "ProfileStore",
     "RunLedger",

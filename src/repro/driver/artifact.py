@@ -135,6 +135,30 @@ class OptimizedNetlist:
         )
 
 
+class OptimizeSummary:
+    """Value of the ``optimize_summary`` stage: an
+    :class:`OptimizedNetlist`'s sizes and pass stats without the netlist.
+
+    Consumers that only report what the pass pipeline did (the ablation
+    table) read this small record instead of loading the whole netlist
+    from the store.
+    """
+
+    def __init__(
+        self, opt_level: int, cells_before: int, cells_after: int, pass_stats
+    ):
+        self.opt_level = opt_level
+        self.cells_before = cells_before
+        self.cells_after = cells_after
+        self.pass_stats = list(pass_stats)
+
+    def __repr__(self):
+        return (
+            f"OptimizeSummary(-O{self.opt_level}, "
+            f"{self.cells_before}->{self.cells_after} cells)"
+        )
+
+
 class SimTrace:
     """Value of the ``simulate`` stage: sampled outputs per cycle of a
     seeded random-stimulus run, plus the pure simulation wall-clock.

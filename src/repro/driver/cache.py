@@ -225,6 +225,31 @@ class CacheStats:
                 "timers": dict(self.timers),
             }
 
+    def since(
+        self, before: Dict[str, Dict[str, object]]
+    ) -> Dict[str, Dict[str, object]]:
+        """What was recorded after ``before`` (an earlier
+        :meth:`snapshot` of this object), in snapshot form."""
+        delta: Dict[str, Dict[str, object]] = {}
+        for section, values in self.snapshot().items():
+            earlier = before.get(section, {})
+            delta[section] = {
+                name: value - earlier.get(name, 0)
+                for name, value in values.items()
+                if value != earlier.get(name, 0)
+            }
+        return delta
+
+    def merge(self, snapshot: Dict[str, Dict[str, object]]) -> None:
+        """Add a snapshot (or a :meth:`since` delta) from another stats
+        object into this one: how process-pool workers' hits, misses,
+        counters and timers reach the parent's session."""
+        with self._lock:
+            for section in ("hits", "misses", "counters", "timers"):
+                mine = getattr(self, section)
+                for name, value in snapshot.get(section, {}).items():
+                    mine[name] = mine.get(name, 0) + value
+
     def render(self) -> str:
         snap = self.snapshot()
         stages = sorted(set(snap["hits"]) | set(snap["misses"]))

@@ -111,9 +111,10 @@ class ChaosRun:
     always carries the typecheck part, so solver-group runs have
     something to match).  ``accounted`` holds iff, for every site, the
     plan's own fire count equals the session's
-    ``fault.injected.<site>`` counter — in process-executor runs both
-    views are parent-side by construction (worker processes rebuild
-    the plan with their own counters), so the equality stays exact.
+    ``fault.injected.<site>`` counter — in process-executor runs the
+    grid merges each worker's counters into the session and its fires
+    into the plan (:meth:`FaultPlan.absorb`), so the equality stays
+    exact.
     """
 
     def __init__(

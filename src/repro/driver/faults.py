@@ -332,6 +332,15 @@ class FaultPlan:
             sink.bump(f"fault.injected.{site}")
         return spec
 
+    def absorb(self, fired: Dict[str, int]) -> None:
+        """Add fires that another process's copy of this plan recorded
+        (a process-pool worker's), whose ``fault.injected.<site>``
+        counters were merged into the stats this plan is bound to —
+        so the two views stay equal."""
+        with self._lock:
+            for site, count in fired.items():
+                self.fired[site] = self.fired.get(site, 0) + count
+
     # -- introspection --------------------------------------------------
 
     def planned(self, site: str) -> int:

@@ -144,12 +144,17 @@ def _process_point(spec: Dict[str, object], fn, point, submitted=None,
                    crash: bool = False, hb_dir: Optional[str] = None):
     """Executed inside a pool worker: rebuild the session, run the point.
 
-    Returns ``(queue_wait_seconds, result)``: how long the point sat in
-    the pool queue before a worker picked it up (``time.time()`` deltas
-    — wall clock is the only timebase comparable across processes —
-    clamped at zero against clock skew), and the worker function's
-    value.  The parent unwraps the pair and accounts the wait under
-    ``wait.pool_queue`` on its own session stats.
+    Returns ``(queue_wait_seconds, result, stats_delta)``: how long the
+    point sat in the pool queue before a worker picked it up
+    (``time.time()`` deltas — wall clock is the only timebase comparable
+    across processes — clamped at zero against clock skew), the worker
+    function's value, and what the point recorded on the worker
+    session's stats (a :meth:`CacheStats.since` delta; the worker
+    session is reused across points, so a whole snapshot would count
+    earlier points again).  The parent accounts the wait under
+    ``wait.pool_queue`` and merges the delta into its own session
+    stats, so process runs report the same hits, misses and counters
+    as thread runs.
 
     ``crash`` is the parent-side ``worker.crash`` injection decision:
     the worker dies for real (``os._exit``), so the parent observes a
@@ -161,11 +166,13 @@ def _process_point(spec: Dict[str, object], fn, point, submitted=None,
         os._exit(13)
     wait = 0.0 if submitted is None else max(0.0, time.time() - submitted)
     _heartbeat(hb_dir, "busy")
+    session = _worker_session(spec)
+    before = session.stats.snapshot()
     try:
-        result = fn(_worker_session(spec), point)
+        result = fn(session, point)
     finally:
         _heartbeat(hb_dir, "idle")
-    return wait, result
+    return wait, result, session.stats.since(before)
 
 
 class _Watchdog:
@@ -472,8 +479,17 @@ class EvalGrid:
                 )
 
             def resolve(future):
-                wait, result = future.result(self.point_timeout)
+                wait, result, delta = future.result(self.point_timeout)
                 stats.add_seconds("wait.pool_queue", wait)
+                stats.merge(delta)
+                plan = self.session.fault_plan
+                if plan is not None:
+                    prefix = "fault.injected."
+                    plan.absorb({
+                        name[len(prefix):]: count
+                        for name, count in delta["counters"].items()
+                        if name.startswith(prefix)
+                    })
                 return result
 
         else:

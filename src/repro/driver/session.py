@@ -24,6 +24,8 @@ it.  ``simulate`` drives the optimized netlist with seeded random
 stimulus for a requested number of cycles; two simulate artifacts that
 differ only in optimization level are therefore directly comparable —
 the differential-simulation check the ablation harness builds on.
+``optimize_summary`` caches just an optimize artifact's cell counts and
+pass stats, for consumers that report on a netlist without needing it.
 
 Elaborator instances are shared per ``(source, registry, verify)``
 triple: elaborating ``FPU`` and then ``FPAdd`` from the same program
@@ -77,6 +79,7 @@ from . import faults
 from .artifact import (
     CompileResult,
     Diagnostic,
+    OptimizeSummary,
     OptimizedNetlist,
     SimTrace,
     StageArtifact,
@@ -486,14 +489,8 @@ class CompileSession:
             return self._optimize_pgo(
                 source, component, params, registry, stdlib, level
             )
-        key = (
-            "optimize",
-            self._source_key(source, stdlib),
-            component,
-            freeze_params(params),
-            registry.fingerprint(),
-            self.verify,
-            pipeline.fingerprint(),
+        key = self._optimize_key(
+            "optimize", source, component, params, registry, stdlib, pipeline
         )
 
         def compute() -> StageArtifact:
@@ -514,6 +511,63 @@ class CompileSession:
             value = OptimizedNetlist(module, level, cells_before, pass_stats)
             return StageArtifact(
                 "optimize", key, value, seconds, sub_timings=sub_timings
+            )
+
+        return self.cache.get_or_compute(key, compute)
+
+    def _optimize_key(
+        self, stage, source, component, params, registry, stdlib, pipeline
+    ) -> Tuple:
+        return (
+            stage,
+            self._source_key(source, stdlib),
+            component,
+            freeze_params(params),
+            registry.fingerprint(),
+            self.verify,
+            pipeline.fingerprint(),
+        )
+
+    def optimize_summary(
+        self,
+        source: str,
+        component: str,
+        params: Union[Dict[str, int], Sequence[int], None] = None,
+        generators: Generators = None,
+        stdlib: bool = True,
+        opt_level: Optional[int] = None,
+    ) -> StageArtifact:
+        """The ``optimize`` stage's cell counts and pass stats, cached
+        as their own small artifact (an :class:`OptimizeSummary`).
+
+        Keyed like ``optimize`` under its own stage name, so a warm
+        store serves the counts without unpickling the netlist, and the
+        ``optimize`` hit/miss counts keep meaning real netlists.  Covers
+        ``-O0`` to ``-O2``: an ``-O3`` key needs the activity profile's
+        digest, which needs the ``-O2`` netlist in hand.
+        """
+        registry = self._registry_of(generators)
+        level, pipeline = self._pipeline(opt_level)
+        if level >= 3:
+            raise ValueError(
+                f"optimize_summary covers -O0 to -O2, got -O{level}"
+            )
+        key = self._optimize_key(
+            "optimize_summary", source, component, params, registry,
+            stdlib, pipeline,
+        )
+
+        def compute() -> StageArtifact:
+            optimized = self.optimize(
+                source, component, params, registry, stdlib, opt_level=level
+            ).value
+            start = time.perf_counter()
+            value = OptimizeSummary(
+                level, optimized.cells_before, optimized.cells_after,
+                optimized.pass_stats,
+            )
+            return StageArtifact(
+                "optimize_summary", key, value, time.perf_counter() - start
             )
 
         return self.cache.get_or_compute(key, compute)
@@ -583,16 +637,10 @@ class CompileSession:
         structural = module.structural_hash()
         profile = self._profile_for(module, structural)
         digest = profile.digest() if profile is not None else "none"
-        key = (
-            "optimize",
-            self._source_key(source, stdlib),
-            component,
-            freeze_params(params),
-            registry.fingerprint(),
-            self.verify,
-            pipeline_for_level(2).fingerprint(),
-            ("pgo", PGO_VERSION, digest),
-        )
+        key = self._optimize_key(
+            "optimize", source, component, params, registry, stdlib,
+            pipeline_for_level(2),
+        ) + (("pgo", PGO_VERSION, digest),)
 
         def compute() -> StageArtifact:
             start = time.perf_counter()

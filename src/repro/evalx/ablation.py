@@ -8,6 +8,12 @@ per-design simulation speedup, and — the correctness gate — whether the
 optimized netlist's outputs are bit-identical to the unoptimized one's
 on every cycle (differential simulation).
 
+No netlist is loaded just to be counted: the cell counts are the ones
+each level's interpreter trace records (``SimTrace.cells``), and the
+per-pass removals come from the ``-O2`` ``optimize_summary`` artifact.
+Every agreement column is recomputed on every run by comparing the
+traces — a warm store serves the traces, never a verdict.
+
 The same machinery gates the compiled simulation backend: for every
 design, both optimization levels are re-simulated on the ``compiled``
 engine and must agree bit-for-bit with the interpreter (the "Backends"
@@ -132,12 +138,6 @@ def _build_row(
     lanes: int = LANES,
 ) -> AblationRow:
     source, component, generators, params = design_point(name)
-    base = session.optimize(
-        source, component, params, generators, opt_level=0
-    ).value
-    opt = session.optimize(
-        source, component, params, generators, opt_level=2
-    ).value
     # Every reference trace pins lanes=1 explicitly: the session-level
     # sim_lanes default must not silently batch the single-run sides of
     # these comparisons.
@@ -197,15 +197,20 @@ def _build_row(
         cycles=cycles, seed=seed, opt_level=3, backend="compiled", lanes=1,
     ).value
     o3_agree = o3.outputs == trace_base.outputs
+    # Counts come from the traces and this small summary, so a warm run
+    # unpickles no netlist.
+    summary = session.optimize_summary(
+        source, component, params, generators, opt_level=2
+    ).value
     removed_by: Dict[str, int] = {}
-    for stat in opt.pass_stats:
+    for stat in summary.pass_stats:
         removed_by[stat.name] = (
             removed_by.get(stat.name, 0) + stat.cells_removed
         )
     return AblationRow(
         name,
-        base.cells_after,
-        opt.cells_after,
+        trace_base.cells,
+        trace_opt.cells,
         trace_base.outputs == trace_opt.outputs,
         trace_base.run_seconds,
         trace_opt.run_seconds,

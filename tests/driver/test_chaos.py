@@ -50,6 +50,20 @@ def test_chaos_sweep_is_bit_identical_and_accounted():
     assert "disk@seed=0" in rendered
 
 
+def test_process_workers_faults_are_reported_and_accounted():
+    """Disk faults fire inside pool workers; the grid merges the
+    workers' counters into the session and their fires into the plan,
+    so a process-executor sweep reports them and still reconciles."""
+    report = run_chaos(
+        designs=("fpu", "risc"), seeds=(0,), groups=("disk",), cycles=16,
+        count=1, workers=2, executor="process",
+    )
+    assert report.ok
+    (disk,) = report.runs
+    assert sum(disk.injected.values()) >= 1
+    assert disk.fired == disk.injected
+
+
 def test_escaping_errors_are_contained_and_fail_the_report():
     report = run_chaos(designs=("no-such-design",), seeds=(), cycles=8)
     assert report.baseline.error is not None

@@ -148,6 +148,57 @@ def test_process_workers_rendezvous_through_the_disk_cache(tmp_path):
     assert warm.stats.counter("disk.hit") >= 1
 
 
+def test_stats_delta_merges_into_another_stats_object():
+    from repro.driver import CacheStats
+
+    worker = CacheStats()
+    worker.record_miss("simulate")
+    worker.bump("disk.write", 2)
+    before = worker.snapshot()
+    worker.record_miss("simulate")
+    worker.record_hit("optimize")
+    worker.bump("disk.write", 3)
+    worker.add_seconds("compute.simulate", 0.5)
+    delta = worker.since(before)
+    assert delta == {
+        "hits": {"optimize": 1},
+        "misses": {"simulate": 1},
+        "counters": {"disk.write": 3},
+        "timers": {"compute.simulate": 0.5},
+    }
+    parent = CacheStats()
+    parent.bump("disk.write")
+    parent.merge(delta)
+    parent.merge(delta)
+    assert parent.miss_count("simulate") == 2
+    assert parent.hit_count("optimize") == 2
+    assert parent.counter("disk.write") == 7
+    assert parent.seconds("compute.simulate") == 1.0
+
+
+def test_process_grid_reports_worker_stats(tmp_path):
+    """Worker sessions' hits, misses and counters reach the parent: a
+    process run from an empty store reports what a thread run does."""
+    from repro.rtl import clear_compile_memo
+
+    points = ("fpu", "risc", "blas")
+    sessions = {}
+    for executor in ("thread", "process"):
+        clear_compile_memo()  # forked workers would inherit it
+        session = CompileSession(
+            opt_level=2, cache_dir=str(tmp_path / executor)
+        )
+        EvalGrid(session, max_workers=2, executor=executor).map(
+            _simulate_trace, points
+        )
+        sessions[executor] = session
+    thread, process = sessions["thread"].stats, sessions["process"].stats
+    assert process.miss_count("simulate") == len(points)
+    for stage in ("parse", "elaborate", "optimize", "simulate"):
+        assert process.miss_count(stage) == thread.miss_count(stage)
+    assert process.counter("disk.write") == thread.counter("disk.write") > 0
+
+
 def test_auto_executor_falls_back_to_thread_for_closures(tmp_path):
     cached = CompileSession(cache_dir=str(tmp_path / "c"))
     grid = EvalGrid(cached, max_workers=4, executor="auto")

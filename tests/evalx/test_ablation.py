@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.driver import CompileSession
 from repro.evalx import ablation
-from repro.rtl import clear_vector_memo
+from repro.rtl import clear_compile_memo, clear_vector_memo
 
 
 def test_ablation_rows_cover_the_catalog_and_hold_shape():
@@ -94,3 +95,24 @@ def test_ablation_holds_under_stdlib_vector_flavor(monkeypatch):
         assert all(row.o3_agree for row in rows)
     finally:
         clear_vector_memo()
+
+
+def test_process_and_thread_ablations_report_equal_stats(tmp_path):
+    """From an empty store, a process-executor ablation reports the
+    simulate misses and disk writes its workers made, exactly as the
+    thread run of the same sweep does.  Both start without in-process
+    codegen memos too, which forked workers would otherwise inherit."""
+    sessions = {}
+    for executor in ("thread", "process"):
+        clear_compile_memo()
+        clear_vector_memo()
+        session = CompileSession(cache_dir=str(tmp_path / executor))
+        ablation.build_rows(
+            session=session, workers=2, cycles=16, executor=executor
+        )
+        sessions[executor] = session
+    thread, process = sessions["thread"], sessions["process"]
+    assert thread.stats.miss_count("simulate") == 60
+    assert process.stats.miss_count("simulate") == 60
+    writes = process.disk_stats()["writes"]
+    assert writes == thread.disk_stats()["writes"] > 0
