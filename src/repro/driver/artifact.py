@@ -125,6 +125,15 @@ class OptimizedNetlist:
         return len(self.module.cells)
 
     @property
+    def structural_hash(self) -> str:
+        """``module.structural_hash()``, computed once per artifact: the
+        module is final once the optimize stage returns it."""
+        cached = self.__dict__.get("_structural_hash")
+        if cached is None:
+            cached = self._structural_hash = self.module.structural_hash()
+        return cached
+
+    @property
     def cells_removed(self) -> int:
         return self.cells_before - self.cells_after
 

@@ -634,7 +634,7 @@ class CompileSession:
             source, component, params, registry, stdlib, opt_level=2
         ).value
         module = base.module
-        structural = module.structural_hash()
+        structural = base.structural_hash
         profile = self._profile_for(module, structural)
         digest = profile.digest() if profile is not None else "none"
         key = self._optimize_key(
@@ -765,6 +765,7 @@ class CompileSession:
                         lanes=n_lanes,
                         codegen_store=self._codegen_store,
                         plan=getattr(optimized, "pgo_plan", None),
+                        structural=optimized.structural_hash,
                     )
                     break
                 except SimBackendUnavailable as error:

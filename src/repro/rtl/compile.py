@@ -91,7 +91,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from typing import Protocol, runtime_checkable
 
@@ -99,6 +99,8 @@ from .netlist import Cell, Module, NetlistError, comb_topo_order, flatten
 from .simulate import (
     Simulator,
     derive_lane_seed,
+    dict_rows,
+    lane_stimuli,
     random_stimulus,
     random_stimulus_batch,
 )
@@ -166,6 +168,13 @@ def _flattened(module: Module) -> Module:
     return module
 
 
+def _engine_module(module: Module, structural: Optional[str]):
+    """``(flat module, its structural hash or None)``: a caller's hash
+    stays valid only while the module needs no flattening."""
+    flat = _flattened(module)
+    return flat, (structural if flat is module else None)
+
+
 def _lane_unit(lanes: int, stride: int) -> int:
     """1 at every lane field's base bit; multiplying a (< 2^stride)
     scalar by it replicates the scalar into every lane."""
@@ -196,6 +205,8 @@ class CompiledNetlist:
         "from_store",
         "extra_slots",
         "inlined_nets",
+        "payload",
+        "stored_in",
     )
 
     def __init__(
@@ -241,6 +252,11 @@ class CompiledNetlist:
         #: codegen — their slots are never written (``peek_net`` on one
         #: is an error); empty for plain programs.
         self.inlined_nets = tuple(inlined_nets)
+        #: the persistable payload this program was built from, and the
+        #: roots of the codegen stores known to hold it (see
+        #: :func:`cached_codegen`).
+        self.payload: Optional[Dict] = None
+        self.stored_in: set = set()
 
     def __repr__(self):
         return (
@@ -1261,7 +1277,8 @@ def _materialize(
 
 
 def compile_netlist(
-    module: Module, lanes: Optional[int] = None, store=None, plan=None
+    module: Module, lanes: Optional[int] = None, store=None, plan=None,
+    structural: Optional[str] = None,
 ) -> CompiledNetlist:
     """Compile a flat module to specialized step code (memoized).
 
@@ -1281,12 +1298,17 @@ def compile_netlist(
     profile-guided scalar generator; it is scalar-only (``lanes`` must
     be None) and must have been built for exactly this module — a
     mismatched structural hash is an error, never a silent fallback.
+
+    ``structural`` is ``module.structural_hash()`` when the caller
+    already holds it (an optimized netlist is hashed once, not on every
+    simulate call).
     """
     if lanes is not None:
         lanes = int(lanes)
         if lanes < 1:
             raise NetlistError(f"lanes must be >= 1, got {lanes}")
-    structural = module.structural_hash()
+    if structural is None:
+        structural = module.structural_hash()
     if plan is not None:
         if lanes is not None:
             raise NetlistError(
@@ -1299,9 +1321,46 @@ def compile_netlist(
             )
     backend = _codegen_backend_tag(lanes, plan)
     key = (structural, lanes, plan.digest() if plan is not None else None)
-    with _MEMO_LOCK:
-        cached = _MEMO.get(key)
+    return cached_codegen(
+        _MEMO, _MEMO_LOCK, key, store, structural, lanes, backend,
+        lambda: _generate_payload(module, structural, lanes, plan),
+        lambda payload, start, loaded: _materialize(
+            payload, module.name, start, loaded
+        ),
+    )
+
+
+def _store_root(store):
+    """What tells one codegen store from another: its root directory
+    (duck-typed stores without one are told apart by identity)."""
+    return getattr(store, "root", None) or id(store)
+
+
+def cached_codegen(
+    memo: Dict, lock, key: Tuple, store, structural: str, lanes, backend: str,
+    generate: Callable[[], Dict],
+    materialize: Callable[[Dict, float, bool], object],
+):
+    """The memo → store → generate lookup every code generator shares.
+
+    Each memo entry records the stores it is known to be in.  A memo
+    hit through a store that is not among them looks the entry up there
+    once and writes it when missing, so step code first generated
+    without a store, or inherited by a forked worker, still reaches each
+    store it is asked for through — once per store root.
+    """
+    root = None if store is None else _store_root(store)
+    with lock:
+        cached = memo.get(key)
+        check = (
+            cached is not None and root is not None
+            and root not in cached.stored_in
+        )
+        if check:
+            cached.stored_in.add(root)
     if cached is not None:
+        if check and store.load(structural, lanes, backend) is None:
+            store.save(cached.payload)
         return cached
     start = time.perf_counter()
     payload = None
@@ -1313,14 +1372,17 @@ def compile_netlist(
             payload = None
     loaded = payload is not None
     if payload is None:
-        payload = _generate_payload(module, structural, lanes, plan)
-    compiled = _materialize(payload, module.name, start, loaded)
+        payload = generate()
+    compiled = materialize(payload, start, loaded)
     if store is not None and not loaded:
         store.save(payload)
-    with _MEMO_LOCK:
+    compiled.payload = payload
+    if root is not None:
+        compiled.stored_in.add(root)
+    with lock:
         # A racing thread may have published first; either object is
         # valid (pure function of the structural key), keep the winner.
-        return _MEMO.setdefault(key, compiled)
+        return memo.setdefault(key, compiled)
 
 
 def clear_compile_memo() -> None:
@@ -1343,11 +1405,15 @@ class CompiledSimulator:
     per-cell dispatch over ``Net``-keyed dicts.
     """
 
-    def __init__(self, module: Module, codegen_store=None, plan=None):
-        self.module = _flattened(module)
+    def __init__(
+        self, module: Module, codegen_store=None, plan=None,
+        structural: Optional[str] = None,
+    ):
+        self.module, structural = _engine_module(module, structural)
         self._codegen_store = codegen_store
         self.program = compile_netlist(
-            self.module, store=codegen_store, plan=plan
+            self.module, store=codegen_store, plan=plan,
+            structural=structural,
         )
         # Profile-guided programs keep bookkeeping (previous root
         # values) in extra slots past the net slots, None-initialized
@@ -1364,6 +1430,9 @@ class CompiledSimulator:
         self._input_slots = {
             name: (slot_of[net.name], _mask_literal(net.width))
             for name, net in self.module.inputs()
+        }
+        self._input_widths = {
+            name: net.width for name, net in self.module.inputs()
         }
         self._output_slots = [
             (name, slot_of[net.name]) for name, net in self.module.outputs()
@@ -1426,9 +1495,28 @@ class CompiledSimulator:
         self.cycle += 1
         return outputs
 
-    def run(self, input_stream: List[Dict[str, int]]) -> List[Dict[str, int]]:
-        step = self.step
-        return [step(inputs) for inputs in input_stream]
+    def run(
+        self, input_stream: Sequence[Dict[str, int]]
+    ) -> List[Dict[str, int]]:
+        """Feed a stream (a :class:`~repro.rtl.simulate.Stimulus` or a
+        list of input dicts); one output dict per cycle.  The stream is
+        read as per-port value columns."""
+        slots = self._slots
+        stimulus = lane_stimuli(
+            [input_stream], self._input_widths,
+            [{name: slots[index] for name, (index, _) in
+              self._input_slots.items()}],
+            self.module.name,
+        )[0]
+        columns = stimulus.columns()
+        feeds = [
+            (self._input_slots[name][0], columns[name])
+            for name, _ in stimulus.ports
+        ]
+        return dict_rows(
+            [name for name, _ in self._output_slots],
+            _drive(self, feeds, stimulus.cycles), stimulus.cycles,
+        )
 
     def run_random(
         self, cycles: int, seed: int = 0, bias: float = 0.0
@@ -1448,16 +1536,19 @@ class CompiledSimulator:
         """
         if not input_streams:
             return []  # mirror the interpreter's empty-batch behavior
+        structural = self.program.structural_hash
         if swar_profitable(self.module, len(input_streams)):
             batched = BatchedCompiledSimulator(
                 self.module,
                 len(input_streams),
                 codegen_store=self._codegen_store,
+                structural=structural,
             )
             return batched.run(input_streams)
         return [
             CompiledSimulator(
-                self.module, codegen_store=self._codegen_store
+                self.module, codegen_store=self._codegen_store,
+                structural=structural,
             ).run(stream)
             for stream in input_streams
         ]
@@ -1468,6 +1559,56 @@ class CompiledSimulator:
         return self.run_batch(
             random_stimulus_batch(self.module, cycles, lanes, seed, bias)
         )
+
+
+def _drive(engine, feeds, cycles: int) -> List[list]:
+    """The run loop every codegen engine shares.
+
+    Each cycle sets every ``(slot, per-cycle values)`` feed, evaluates,
+    captures every output slot and latches.  Returns the captured slot
+    values, one list per output port in ``engine._output_slots`` order.
+    """
+    outputs = [output[1] for output in engine._output_slots]
+    captured: List[list] = [[] for _ in outputs]
+    slots, regs, fifos = engine._slots, engine._regs, engine._fifos
+    evaluate, latch = engine._evaluate, engine._latch
+    for cycle in range(cycles):
+        for index, feed in feeds:
+            slots[index] = feed[cycle]
+        evaluate(slots, regs, fifos)
+        for column, index in zip(captured, outputs):
+            column.append(slots[index])
+        latch(slots, regs, fifos)
+    engine.cycle += cycles
+    return captured
+
+
+def _lane_traces(engine, per_output: List[list], cycles: int):
+    """Per-lane traces from each output's per-lane value lists."""
+    names = [output[0] for output in engine._output_slots]
+    return [
+        dict_rows(names, [values[lane] for values in per_output], cycles)
+        for lane in range(engine.lanes)
+    ]
+
+
+def _engine_stimuli(engine, input_streams) -> list:
+    """A lane engine's streams (one per lane) as stimuli over its input
+    ports; a port a stream leaves out starts from the lane's current
+    value (see :func:`~repro.rtl.simulate.lane_stimuli`)."""
+    streams = list(input_streams)
+    if len(streams) != engine.lanes:
+        raise NetlistError(
+            f"{engine.module.name}: got {len(streams)} streams for "
+            f"{engine.lanes} lanes"
+        )
+    current: List[Dict[str, int]] = [{} for _ in streams]
+    for name in engine._input_widths:
+        for values, value in zip(current, engine.peek(name)):
+            values[name] = value
+    return lane_stimuli(
+        streams, engine._input_widths, current, engine.module.name
+    )
 
 
 class BatchedCompiledSimulator:
@@ -1485,13 +1626,17 @@ class BatchedCompiledSimulator:
     ``step``/``run`` exchange one input/output dict per lane.
     """
 
-    def __init__(self, module: Module, lanes: int, codegen_store=None):
-        self.module = _flattened(module)
+    def __init__(
+        self, module: Module, lanes: int, codegen_store=None,
+        structural: Optional[str] = None,
+    ):
+        self.module, structural = _engine_module(module, structural)
         self.lanes = int(lanes)
         if self.lanes < 1:
             raise NetlistError(f"lanes must be >= 1, got {lanes!r}")
         self.program = compile_netlist(
-            self.module, lanes=self.lanes, store=codegen_store
+            self.module, lanes=self.lanes, store=codegen_store,
+            structural=structural,
         )
         stride = self.program.stride
         self._shifts = tuple(range(0, self.lanes * stride, stride))
@@ -1525,6 +1670,9 @@ class BatchedCompiledSimulator:
         self._input_slots = {
             name: (slot_of[net.name], _mask_literal(net.width))
             for name, net in self.module.inputs()
+        }
+        self._input_widths = {
+            name: net.width for name, net in self.module.inputs()
         }
         self._output_slots = [
             (
@@ -1561,65 +1709,6 @@ class BatchedCompiledSimulator:
             packed = 0
             for shift, value in zip(shifts, values):
                 packed |= (int(value) & mask) << shift
-            slots[index] = packed
-
-    def _poke_vectors(self, vectors: Sequence[Dict[str, int]]) -> None:
-        """Per-lane input dicts (lane k's ports in ``vectors[k]``).
-
-        Lanes may drive different port subsets (exactly like K separate
-        scalar ``step`` calls): a port a lane omits keeps that lane's
-        previous value.  Stimulus streams drive every port every cycle,
-        so the uniform case stays on the overwrite-the-slot fast path.
-        """
-        if len(vectors) != self.lanes:
-            raise NetlistError(
-                f"{self.module.name}: got {len(vectors)} input vectors "
-                f"for {self.lanes} lanes"
-            )
-        slots = self._slots
-        shifts = self._shifts
-        first = vectors[0]
-        uniform = all(vector.keys() == first.keys() for vector in vectors)
-        if uniform:
-            for name in first:
-                entry = self._input_slots.get(name)
-                if entry is None:
-                    raise NetlistError(
-                        f"{self.module.name}: no input port {name!r}"
-                    )
-                index, mask = entry
-                if index in self._wide_slots:
-                    slots[index] = [
-                        int(vector[name]) & mask for vector in vectors
-                    ]
-                    continue
-                packed = 0
-                for shift, vector in zip(shifts, vectors):
-                    packed |= (int(vector[name]) & mask) << shift
-                slots[index] = packed
-            return
-        names = set(first)
-        for vector in vectors[1:]:
-            names.update(vector)
-        for name in names:
-            entry = self._input_slots.get(name)
-            if entry is None:
-                raise NetlistError(
-                    f"{self.module.name}: no input port {name!r}"
-                )
-            index, mask = entry
-            if index in self._wide_slots:
-                slots[index] = [
-                    (int(vector[name]) & mask) if name in vector else old
-                    for vector, old in zip(vectors, slots[index])
-                ]
-                continue
-            packed = slots[index]
-            for shift, vector in zip(shifts, vectors):
-                if name in vector:
-                    packed = (packed & ~(mask << shift)) | (
-                        (int(vector[name]) & mask) << shift
-                    )
             slots[index] = packed
 
     def evaluate(self) -> None:
@@ -1664,48 +1753,51 @@ class BatchedCompiledSimulator:
     def step(
         self, vectors: Optional[Sequence[Dict[str, int]]] = None
     ) -> List[Dict[str, int]]:
-        """One cycle for every lane; returns one output dict per lane."""
-        if vectors:
-            self._poke_vectors(vectors)
-        slots = self._slots
-        self._evaluate(slots, self._regs, self._fifos)
-        outputs = [
-            {
-                name: (
-                    slots[index][lane]
-                    if is_wide
-                    else (slots[index] >> shift) & mask
-                )
-                for name, index, mask, is_wide in self._output_slots
-            }
-            for lane, shift in enumerate(self._shifts)
-        ]
-        self._latch(slots, self._regs, self._fifos)
-        self.cycle += 1
-        return outputs
+        """One cycle for every lane; returns one output dict per lane.
+
+        Lanes may drive different port subsets (exactly like K separate
+        scalar ``step`` calls): a port a lane omits keeps that lane's
+        previous value."""
+        streams = (
+            [[vector] for vector in vectors] if vectors
+            else [[{}]] * self.lanes
+        )
+        return [trace[0] for trace in self.run(streams)]
 
     def run(
-        self, input_streams: Sequence[List[Dict[str, int]]]
+        self, input_streams: Sequence[Sequence[Dict[str, int]]]
     ) -> List[List[Dict[str, int]]]:
-        """Feed K equal-length streams; returns K per-lane traces."""
-        streams = [list(stream) for stream in input_streams]
-        if len(streams) != self.lanes:
-            raise NetlistError(
-                f"{self.module.name}: got {len(streams)} streams for "
-                f"{self.lanes} lanes"
+        """Feed K equal-length streams; returns K per-lane traces.
+
+        Each port's lane columns are packed once per cycle before the
+        loop; outputs are captured per cycle and unpacked per lane after
+        it."""
+        stimuli = _engine_stimuli(self, input_streams)
+        cycles = stimuli[0].cycles
+        if not cycles:
+            return [[] for _ in range(self.lanes)]
+        shifts = self._shifts
+        feeds = []
+        for name, _ in stimuli[0].ports:
+            index = self._input_slots[name][0]
+            rows = zip(*(stimulus.columns()[name] for stimulus in stimuli))
+            if index in self._wide_slots:
+                feeds.append((index, [list(row) for row in rows]))
+            else:
+                feeds.append((index, [
+                    sum(value << shift for value, shift in zip(row, shifts))
+                    for row in rows
+                ]))
+        captured = _drive(self, feeds, cycles)
+        return _lane_traces(self, [
+            [list(lane) for lane in zip(*column)] if is_wide else [
+                [(value >> shift) & mask for value in column]
+                for shift in shifts
+            ]
+            for column, (_, _, mask, is_wide) in zip(
+                captured, self._output_slots
             )
-        lengths = {len(stream) for stream in streams}
-        if len(lengths) > 1:
-            raise NetlistError(
-                f"{self.module.name}: lane streams differ in length: "
-                f"{sorted(lengths)}"
-            )
-        traces: List[List[Dict[str, int]]] = [[] for _ in streams]
-        step = self.step
-        for vectors in zip(*streams):
-            for trace, outputs in zip(traces, step(vectors)):
-                trace.append(outputs)
-        return traces
+        ], cycles)
 
     def run_random(
         self, cycles: int, seed: int = 0, bias: float = 0.0
@@ -1814,6 +1906,7 @@ def make_simulator(
     lanes: int = 1,
     codegen_store=None,
     plan=None,
+    structural: Optional[str] = None,
 ):
     """Instantiate the named engine over ``module``.
 
@@ -1836,18 +1929,28 @@ def make_simulator(
     the plan — PGO codegen is scalar, and the plan is purely an
     optimization hint (every engine's values are bit-identical with or
     without it).
+
+    ``structural`` is ``module.structural_hash()`` when the caller holds
+    it already; the codegen engines then key their programs on it
+    instead of hashing the module again.
     """
     cls = resolve_backend(backend)
     lanes = max(1, int(lanes))
     if cls is CompiledSimulator:
         if lanes > 1 and swar_profitable(module, lanes):
             return BatchedCompiledSimulator(
-                module, lanes, codegen_store=codegen_store
+                module, lanes, codegen_store=codegen_store,
+                structural=structural,
             )
-        return cls(module, codegen_store=codegen_store, plan=plan)
+        return cls(
+            module, codegen_store=codegen_store, plan=plan,
+            structural=structural,
+        )
     if cls is Simulator:
         return cls(module, plan=plan)
-    return cls(module, lanes, codegen_store=codegen_store)
+    return cls(
+        module, lanes, codegen_store=codegen_store, structural=structural
+    )
 
 
 def differential_check(

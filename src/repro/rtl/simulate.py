@@ -16,8 +16,11 @@ from __future__ import annotations
 
 import hashlib
 import random
+import sys
+from array import array
 from collections import deque
-from typing import Dict, List, Optional, Sequence
+from collections.abc import Sequence as SequenceABC
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .netlist import Cell, Module, Net, NetlistError, comb_topo_order, flatten
 
@@ -82,15 +85,250 @@ def eval_comb_cell(cell: Cell, values: Dict[Net, int]) -> int:
     raise NetlistError(f"cannot evaluate cell kind {kind!r}")
 
 
+#: array typecode of an unsigned 32-bit word on this host.
+_U32 = "I" if array("I").itemsize == 4 else "L"
+
+
+def _words32(width: int) -> int:
+    """32-bit words one ``getrandbits(width)`` call consumes."""
+    return (width + 31) // 32
+
+
+def dict_rows(
+    names: Sequence[str], columns: Sequence[Sequence[int]], cycles: int
+) -> List[Dict[str, int]]:
+    """Per-cycle ``{name: value}`` dicts from per-name value columns."""
+    if not names:
+        return [{} for _ in range(cycles)]
+    if len(names) == 1:
+        name = names[0]
+        return [{name: value} for value in columns[0]]
+    return [dict(zip(names, row)) for row in zip(*columns)]
+
+
+class Stimulus(SequenceABC):
+    """One lane's input stream, kept as raw little-endian 32-bit words.
+
+    Each cycle is a row of ``stride`` words; port ``p`` of width ``w``
+    owns ``ceil(w / 32)`` consecutive words of it, lowest word first,
+    and its value sits in the top ``w`` bits of those words — the exact
+    shape of the words one ``random.Random.getrandbits(w)`` call draws
+    (CPython takes whole Mersenne words, lowest first, and right-shifts
+    only the top one).  So one ``getrandbits(32 * stride * cycles)``
+    call yields the same values as ``cycles * len(ports)`` per-port
+    draws, and the engines decode whole columns from the words without
+    building a dict per cycle.
+
+    It still reads as the list of per-cycle ``{port: value}`` dicts it
+    stands for (built on first use): indexing, iteration, ``len`` and
+    ``==`` against such a list all behave as on the list.
+    """
+
+    __slots__ = ("ports", "cycles", "words", "_columns", "_rows")
+
+    def __init__(self, ports: Sequence[Tuple[str, int]], cycles: int,
+                 words: bytes, columns: Optional[Dict[str, List[int]]] = None):
+        #: ``(name, width)`` per port, in word order.
+        self.ports = tuple(ports)
+        self.cycles = int(cycles)
+        self.words = words
+        self._columns = columns
+        self._rows: Optional[List[Dict[str, int]]] = None
+
+    @property
+    def stride(self) -> int:
+        """32-bit words per cycle."""
+        return sum(_words32(width) for _, width in self.ports)
+
+    @classmethod
+    def from_vectors(
+        cls, ports: Sequence[Tuple[str, int]],
+        vectors: Sequence[Optional[Dict[str, int]]],
+        initial: Optional[Dict[str, int]] = None,
+    ) -> "Stimulus":
+        """Encode per-cycle input dicts over ``ports``.
+
+        Values are masked to their port's width.  A port a cycle omits
+        (or every port, for an empty or None cycle) keeps its previous
+        value, starting from ``initial`` (0 where it has no entry) —
+        what poking the dicts one by one into an engine does.  Every
+        name in the dicts must be one of ``ports``.
+        """
+        ports = tuple(ports)
+        masks = {name: (1 << width) - 1 for name, width in ports}
+        current = {name: (initial or {}).get(name, 0) for name, _ in ports}
+        columns: Dict[str, List[int]] = {name: [] for name, _ in ports}
+        for vector in vectors:
+            if vector:
+                for name, value in vector.items():
+                    current[name] = int(value) & masks[name]
+            for name, column in columns.items():
+                column.append(current[name])
+        # Encode each cycle as one int of ``stride`` words, the top word
+        # of every port holding its high bits left-aligned.
+        rows = [0] * len(vectors)
+        base = 0
+        for name, width in ports:
+            n_words = _words32(width)
+            top = 32 * (n_words - 1)
+            shift = 32 * n_words - width
+            low = (1 << top) - 1
+            rows = [
+                row | ((((value >> top) << (top + shift)) | (value & low))
+                       << base)
+                for row, value in zip(rows, columns[name])
+            ]
+            base += 32 * n_words
+        words = b"".join(row.to_bytes(base // 8, "little") for row in rows)
+        return cls(ports, len(vectors), words, columns)
+
+    def columns(self) -> Dict[str, List[int]]:
+        """Port name → its value on every cycle (decoded once)."""
+        if self._columns is None:
+            words = array(_U32)
+            words.frombytes(self.words)
+            if sys.byteorder == "big":
+                words.byteswap()
+            stride = self.stride
+            columns: Dict[str, List[int]] = {}
+            offset = 0
+            for name, width in self.ports:
+                n_words = _words32(width)
+                shift = 32 * n_words - width
+                top = offset + n_words - 1
+                column = words[top::stride].tolist()
+                if shift:
+                    column = [value >> shift for value in column]
+                for index in range(top - 1, offset - 1, -1):
+                    column = [
+                        (high << 32) | low
+                        for high, low in zip(column, words[index::stride])
+                    ]
+                columns[name] = column
+                offset += n_words
+            self._columns = columns
+        return self._columns
+
+    def _vectors(self) -> List[Dict[str, int]]:
+        if self._rows is None:
+            columns = self.columns()
+            names = [name for name, _ in self.ports]
+            self._rows = dict_rows(
+                names, [columns[name] for name in names], self.cycles
+            )
+        return self._rows
+
+    def __len__(self) -> int:
+        return self.cycles
+
+    def __getitem__(self, index):
+        return self._vectors()[index]
+
+    def __iter__(self):
+        return iter(self._vectors())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Stimulus) and other.ports == self.ports:
+            return (other.cycles == self.cycles
+                    and other.columns() == self.columns())
+        if isinstance(other, (Stimulus, list, tuple)):
+            return self._vectors() == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        ports = ", ".join(f"{name}[{width}]" for name, width in self.ports)
+        return f"Stimulus({self.cycles} cycles of {ports})"
+
+
+def lane_words64(stimuli: Sequence[Stimulus], np) -> Dict[str, object]:
+    """Each port of equal-layout ``stimuli`` as numpy uint64 words.
+
+    Port name → array of shape ``(lanes, cycles, ceil(width / 64))``,
+    lowest word first.  ``np`` is the numpy module; the lanes' words
+    are read with one ``frombuffer`` each.
+    """
+    first = stimuli[0]
+    raw = np.stack([
+        np.frombuffer(stimulus.words, "<u4") for stimulus in stimuli
+    ]).reshape(len(stimuli), first.cycles, first.stride)
+    ports: Dict[str, object] = {}
+    offset = 0
+    for name, width in first.ports:
+        n_words = _words32(width)
+        chunks = raw[:, :, offset:offset + n_words].astype(np.uint64)
+        offset += n_words
+        shift = 32 * n_words - width
+        if shift:
+            chunks[:, :, -1] >>= np.uint64(shift)
+        if n_words % 2:
+            chunks = np.concatenate(
+                [chunks, np.zeros_like(chunks[:, :, :1])], axis=2
+            )
+        high = chunks[:, :, 1::2] << np.uint64(32)
+        ports[name] = chunks[:, :, 0::2] | high
+    return ports
+
+
+def lane_stimuli(
+    streams: Sequence[Sequence[Dict[str, int]]],
+    ports: Dict[str, int],
+    initial: Sequence[Dict[str, int]],
+    where: str,
+) -> List[Stimulus]:
+    """Every lane's stream as a :class:`Stimulus` over an engine's inputs.
+
+    ``ports`` maps the engine's input names to widths and ``initial``
+    holds each lane's current input values.  Stimuli whose ports all
+    match ``ports`` pass through as they are; anything else (plain dict
+    lists, or stimuli of another port layout) is re-encoded over the
+    ports the streams drive, which masks values and carries a port a
+    cycle omits forward from the lane's previous value.  An unknown port
+    name or lanes of unequal length raise :class:`NetlistError`.
+    """
+    streams = list(streams)
+    first = streams[0] if streams else None
+    if isinstance(first, Stimulus) and all(
+        isinstance(stream, Stimulus) and stream.ports == first.ports
+        for stream in streams
+    ) and all(ports.get(name) == width for name, width in first.ports):
+        lengths = {stream.cycles for stream in streams}
+    else:
+        streams = [list(stream) for stream in streams]
+        lengths = {len(stream) for stream in streams}
+        driven = set()
+        for stream in streams:
+            for vector in stream:
+                if vector:
+                    driven.update(vector)
+        unknown = sorted(driven - set(ports))
+        if unknown:
+            raise NetlistError(f"{where}: no input port {unknown[0]!r}")
+        layout = [(name, width) for name, width in ports.items()
+                  if name in driven]
+        streams = [
+            Stimulus.from_vectors(layout, stream, values)
+            for stream, values in zip(streams, initial)
+        ]
+    if len(lengths) > 1:
+        raise NetlistError(
+            f"{where}: lane streams differ in length: {sorted(lengths)}"
+        )
+    return streams
+
+
 def random_stimulus(
     module: Module, cycles: int, seed: int = 0, bias: float = 0.0
-) -> List[Dict[str, int]]:
+) -> Stimulus:
     """Reproducible per-cycle input vectors for every input port.
 
     The same ``(module ports, cycles, seed, bias)`` always yields the
     same stream — ``random.Random`` is a platform-independent Mersenne
     twister — so differential-simulation tests are stable across runs
-    and machines.  Ports are visited in declaration order.
+    and machines.  Ports are visited in declaration order.  The result
+    is a :class:`Stimulus`: it reads as the list of per-cycle dicts,
+    and the codegen engines decode it column by column.
 
     ``bias`` mixes corner vectors into the stream: with that probability
     (drawn from the same seeded generator, so still fully deterministic)
@@ -103,12 +341,13 @@ def random_stimulus(
         raise ValueError(f"bias must be within [0, 1], got {bias!r}")
     rng = random.Random(seed)
     inputs = module.inputs()
+    ports = [(name, net.width) for name, net in inputs]
     if not bias:
-        # Exactly the historical draw order: one getrandbits per port.
-        return [
-            {name: rng.getrandbits(net.width) for name, net in inputs}
-            for _ in range(cycles)
-        ]
+        # One draw for the whole stream: bit-identical to the historical
+        # per-port draws (see Stimulus).
+        size = 4 * sum(_words32(width) for _, width in ports) * cycles
+        draw = rng.getrandbits(8 * size) if size else 0
+        return Stimulus(ports, cycles, draw.to_bytes(size, "little"))
     vectors: List[Dict[str, int]] = []
     for _ in range(cycles):
         vector: Dict[str, int] = {}
@@ -121,7 +360,7 @@ def random_stimulus(
             else:
                 vector[name] = rng.getrandbits(net.width)
         vectors.append(vector)
-    return vectors
+    return Stimulus.from_vectors(ports, vectors)
 
 
 def derive_lane_seed(seed: int, lane: int) -> int:
@@ -141,7 +380,7 @@ def derive_lane_seed(seed: int, lane: int) -> int:
 
 def random_stimulus_batch(
     module: Module, cycles: int, lanes: int, seed: int = 0, bias: float = 0.0
-) -> List[List[Dict[str, int]]]:
+) -> List[Stimulus]:
     """``lanes`` independent stimulus streams from one batch seed.
 
     Stream ``k`` is exactly ``random_stimulus(module, cycles,

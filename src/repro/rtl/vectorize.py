@@ -53,7 +53,7 @@ from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .netlist import Cell, Module, NetlistError, comb_topo_order
-from .simulate import random_stimulus_batch
+from .simulate import lane_words64, random_stimulus_batch
 
 #: Lane-column word width: nets at or below it are packed (uint64 /
 #: array('Q') columns), wider nets fall back to per-lane int lists.
@@ -905,6 +905,8 @@ class VectorNetlist:
         "lanes",
         "flavor",
         "from_store",
+        "payload",
+        "stored_in",
     )
 
     def __init__(
@@ -937,6 +939,9 @@ class VectorNetlist:
         self.lanes = lanes
         self.flavor = flavor
         self.from_store = from_store
+        #: see :class:`~repro.rtl.compile.CompiledNetlist`.
+        self.payload: Optional[Dict] = None
+        self.stored_in: set = set()
 
     def __repr__(self):
         return (
@@ -1006,6 +1011,7 @@ def compile_vector_netlist(
     lanes: int,
     flavor: Optional[str] = None,
     store=None,
+    structural: Optional[str] = None,
 ) -> VectorNetlist:
     """Compile a flat module to lane-column step code (memoized).
 
@@ -1013,37 +1019,26 @@ def compile_vector_netlist(
     same duck-typed codegen store ``compile_netlist`` takes (``load``
     gains the backend tag argument: ``load(structural_hash, lanes,
     backend)``), so vector kernels share the persistent ``codegen``
-    pseudo-stage with the scalar and SWAR generators.
+    pseudo-stage with the scalar and SWAR generators.  ``structural``
+    is the module's structural hash when the caller already holds it.
     """
-    from .compile import valid_codegen_payload
+    from .compile import cached_codegen
 
     lanes = int(lanes)
     if lanes < 1:
         raise NetlistError(f"lanes must be >= 1, got {lanes}")
     flavor = vector_flavor(flavor)
     backend = vector_backend_tag(flavor)
-    structural = module.structural_hash()
-    key = (structural, lanes, flavor)
-    with _VMEMO_LOCK:
-        cached = _VMEMO.get(key)
-    if cached is not None:
-        return cached
-    start = time.perf_counter()
-    payload = None
-    if store is not None:
-        payload = store.load(structural, lanes, backend)
-        if payload is not None and not valid_codegen_payload(
-            payload, structural, lanes, backend
-        ):
-            payload = None
-    loaded = payload is not None
-    if payload is None:
-        payload = _generate_vector_payload(module, structural, lanes, flavor)
-    compiled = _materialize_vector(payload, module.name, start, loaded)
-    if store is not None and not loaded:
-        store.save(payload)
-    with _VMEMO_LOCK:
-        return _VMEMO.setdefault(key, compiled)
+    if structural is None:
+        structural = module.structural_hash()
+    return cached_codegen(
+        _VMEMO, _VMEMO_LOCK, (structural, lanes, flavor), store, structural,
+        lanes, backend,
+        lambda: _generate_vector_payload(module, structural, lanes, flavor),
+        lambda payload, start, loaded: _materialize_vector(
+            payload, module.name, start, loaded
+        ),
+    )
 
 
 def clear_vector_memo() -> None:
@@ -1072,15 +1067,17 @@ class VectorCompiledSimulator:
         lanes: int,
         codegen_store=None,
         flavor: Optional[str] = None,
+        structural: Optional[str] = None,
     ):
-        from .compile import _flattened, _mask_literal
+        from .compile import _engine_module, _mask_literal
 
-        self.module = _flattened(module)
+        self.module, structural = _engine_module(module, structural)
         self.lanes = int(lanes)
         if self.lanes < 1:
             raise NetlistError(f"lanes must be >= 1, got {lanes!r}")
         self.program = compile_vector_netlist(
-            self.module, self.lanes, flavor=flavor, store=codegen_store
+            self.module, self.lanes, flavor=flavor, store=codegen_store,
+            structural=structural,
         )
         self.flavor = self.program.flavor
         np = _numpy() if self.flavor == "numpy" else None
@@ -1144,6 +1141,9 @@ class VectorCompiledSimulator:
             name: (slot_of[net.name], _mask_literal(net.width))
             for name, net in self.module.inputs()
         }
+        self._input_widths = {
+            name: net.width for name, net in self.module.inputs()
+        }
         self._output_slots = [
             (
                 name,
@@ -1189,16 +1189,6 @@ class VectorCompiledSimulator:
                     out[lane] |= piece << shift
         return out
 
-    def _lanes_of(self, value, is_wide: bool):
-        """Per-lane Python ints of one slot's current column."""
-        if is_wide:
-            if self._np is not None:
-                return self._unpack_wide(value)
-            return value
-        if self._np is not None:
-            return value.tolist()
-        return value  # array('Q') indexes to plain ints already
-
     def poke(self, inputs: Dict[str, Sequence[int]]) -> None:
         """Drive ports with per-lane value lists (one value per lane)."""
         slots = self._slots
@@ -1221,66 +1211,6 @@ class VectorCompiledSimulator:
                 slots[index] = self._pack_wide(values, mask, n_words)
             else:
                 slots[index] = [int(value) & mask for value in values]
-
-    def _poke_vectors(self, vectors: Sequence[Dict[str, int]]) -> None:
-        """Per-lane input dicts; lanes may drive different port subsets
-        (a port a lane omits keeps that lane's previous value)."""
-        if len(vectors) != self.lanes:
-            raise NetlistError(
-                f"{self.module.name}: got {len(vectors)} input vectors "
-                f"for {self.lanes} lanes"
-            )
-        slots = self._slots
-        first = vectors[0]
-        uniform = all(vector.keys() == first.keys() for vector in vectors)
-        if uniform:
-            for name in first:
-                entry = self._input_slots.get(name)
-                if entry is None:
-                    raise NetlistError(
-                        f"{self.module.name}: no input port {name!r}"
-                    )
-                index, mask = entry
-                n_words = self._wide_slots.get(index)
-                if n_words is None:
-                    slots[index] = self._column(
-                        [vector[name] for vector in vectors], mask
-                    )
-                elif self._np is not None:
-                    slots[index] = self._pack_wide(
-                        [vector[name] for vector in vectors], mask, n_words
-                    )
-                else:
-                    slots[index] = [
-                        int(vector[name]) & mask for vector in vectors
-                    ]
-            return
-        names = set(first)
-        for vector in vectors[1:]:
-            names.update(vector)
-        for name in names:
-            entry = self._input_slots.get(name)
-            if entry is None:
-                raise NetlistError(
-                    f"{self.module.name}: no input port {name!r}"
-                )
-            index, mask = entry
-            n_words = self._wide_slots.get(index)
-            old = slots[index]
-            if n_words is not None and self._np is not None:
-                old = self._unpack_wide(old)
-            merged = [
-                (int(vector[name]) & mask)
-                if name in vector
-                else int(old[lane])
-                for lane, vector in enumerate(vectors)
-            ]
-            if n_words is None:
-                slots[index] = self._column(merged, mask)
-            elif self._np is not None:
-                slots[index] = self._pack_wide(merged, mask, n_words)
-            else:
-                slots[index] = merged
 
     def evaluate(self) -> None:
         self._evaluate(self._slots, self._regs, self._fifos)
@@ -1323,45 +1253,89 @@ class VectorCompiledSimulator:
     def step(
         self, vectors: Optional[Sequence[Dict[str, int]]] = None
     ) -> List[Dict[str, int]]:
-        """One cycle for every lane; returns one output dict per lane."""
-        if vectors:
-            self._poke_vectors(vectors)
-        slots = self._slots
-        self._evaluate(slots, self._regs, self._fifos)
-        columns = [
-            (name, self._lanes_of(slots[index], is_wide))
-            for name, index, is_wide in self._output_slots
-        ]
-        outputs = [
-            {name: column[lane] for name, column in columns}
-            for lane in range(self.lanes)
-        ]
-        self._latch(slots, self._regs, self._fifos)
-        self.cycle += 1
-        return outputs
+        """One cycle for every lane; returns one output dict per lane.
+
+        Lanes may drive different port subsets (exactly like K separate
+        scalar ``step`` calls): a port a lane omits keeps that lane's
+        previous value."""
+        streams = (
+            [[vector] for vector in vectors] if vectors
+            else [[{}]] * self.lanes
+        )
+        return [trace[0] for trace in self.run(streams)]
 
     def run(
-        self, input_streams: Sequence[List[Dict[str, int]]]
+        self, input_streams: Sequence[Sequence[Dict[str, int]]]
     ) -> List[List[Dict[str, int]]]:
-        """Feed K equal-length streams; returns K per-lane traces."""
-        streams = [list(stream) for stream in input_streams]
-        if len(streams) != self.lanes:
-            raise NetlistError(
-                f"{self.module.name}: got {len(streams)} streams for "
-                f"{self.lanes} lanes"
-            )
-        lengths = {len(stream) for stream in streams}
-        if len(lengths) > 1:
-            raise NetlistError(
-                f"{self.module.name}: lane streams differ in length: "
-                f"{sorted(lengths)}"
-            )
-        traces: List[List[Dict[str, int]]] = [[] for _ in streams]
-        step = self.step
-        for vectors in zip(*streams):
-            for trace, outputs in zip(traces, step(vectors)):
-                trace.append(outputs)
-        return traces
+        """Feed K equal-length streams; returns K per-lane traces.
+
+        Every input port's value on every cycle is laid out as a column
+        before the loop (see :meth:`_feeds`), and each output slot's
+        column is kept per cycle and turned into per-lane dicts after
+        it."""
+        from .compile import _drive, _engine_stimuli, _lane_traces
+
+        stimuli = _engine_stimuli(self, input_streams)
+        cycles = stimuli[0].cycles
+        if not cycles:
+            return [[] for _ in range(self.lanes)]
+        captured = _drive(self, self._feeds(stimuli), cycles)
+        return _lane_traces(self, [
+            self._lane_values(column, is_wide, cycles)
+            for column, (_, _, is_wide) in zip(captured, self._output_slots)
+        ], cycles)
+
+    def _feeds(self, stimuli) -> List[Tuple[int, Sequence]]:
+        """``(slot, per-cycle slot values)`` for every driven port.
+
+        numpy: each port's uint64 words (see
+        :func:`~repro.rtl.simulate.lane_words64`) become one contiguous
+        ``(cycles, [words,] lanes)`` array, and every cycle's value is a
+        row view of it.  stdlib: per-cycle ``array('Q')`` columns built
+        from the lanes' decoded int columns.
+        """
+        np = self._np
+        feeds = []
+        if np is None:
+            from array import array
+
+            for name, _ in stimuli[0].ports:
+                index = self._input_slots[name][0]
+                rows = zip(*(stimulus.columns()[name] for stimulus in stimuli))
+                if index in self._wide_slots:
+                    feeds.append((index, [list(row) for row in rows]))
+                else:
+                    feeds.append((index, [array("Q", row) for row in rows]))
+            return feeds
+        for name, words in lane_words64(stimuli, np).items():
+            index = self._input_slots[name][0]
+            if index in self._wide_slots:
+                block = np.ascontiguousarray(words.transpose(1, 2, 0))
+                feeds.append((index, [list(cycle) for cycle in block]))
+            else:
+                feeds.append((index, np.ascontiguousarray(words[:, :, 0].T)))
+        return feeds
+
+    def _lane_values(self, column: list, is_wide: bool, cycles: int):
+        """One output slot's per-cycle values → each lane's value list."""
+        np = self._np
+        if np is None:
+            return [list(lane) for lane in zip(*column)]
+        if not is_wide:
+            return np.stack(column).T.tolist()
+        # (cycles, words, lanes) → lane-major little-endian bytes, one
+        # int.from_bytes per lane and cycle.
+        words = np.array(column, dtype=np.uint64)
+        size = 8 * words.shape[1]
+        raw = np.ascontiguousarray(words.transpose(2, 0, 1), "<u8").tobytes()
+        values = [
+            int.from_bytes(raw[start:start + size], "little")
+            for start in range(0, len(raw), size)
+        ]
+        return [
+            values[lane * cycles:(lane + 1) * cycles]
+            for lane in range(self.lanes)
+        ]
 
     def run_random(
         self, cycles: int, seed: int = 0, bias: float = 0.0

@@ -116,3 +116,28 @@ def test_process_and_thread_ablations_report_equal_stats(tmp_path):
     assert process.stats.miss_count("simulate") == 60
     writes = process.disk_stats()["writes"]
     assert writes == thread.disk_stats()["writes"] > 0
+
+
+def test_process_ablation_after_a_thread_ablation_writes_every_entry(
+    tmp_path,
+):
+    """Codegen memo entries write through to each store they are asked
+    for through: a cold process-mode ablation whose forked workers
+    inherit the step code of an earlier in-process thread ablation still
+    writes every entry (131 on the catalog, not the 102 it wrote when a
+    memo hit skipped the store)."""
+    clear_compile_memo()
+    clear_vector_memo()
+    sessions = {}
+    for executor in ("thread", "process"):
+        session = CompileSession(cache_dir=str(tmp_path / executor))
+        ablation.build_rows(
+            session=session, workers=2, cycles=16, executor=executor
+        )
+        sessions[executor] = session
+    thread, process = sessions["thread"], sessions["process"]
+    assert process.stats.counter("codegen.store") == thread.stats.counter(
+        "codegen.store"
+    ) > 0
+    writes = process.disk_stats()["writes"]
+    assert writes == thread.disk_stats()["writes"] > 0
